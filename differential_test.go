@@ -9,6 +9,7 @@ import (
 	"systemr"
 	"systemr/internal/core"
 	"systemr/internal/exec"
+	"systemr/internal/plan"
 	"systemr/internal/sem"
 	"systemr/internal/sql"
 	"systemr/internal/testutil"
@@ -70,8 +71,11 @@ func ablations(base core.Config) map[string]core.Config {
 
 // TestDifferentialRandomQueries cross-checks optimizer+executor output
 // against the brute-force reference evaluator over randomized databases and
-// queries, under every optimizer ablation. DIFF_SEEDS and DIFF_TABLES extend
-// the campaign (e.g. DIFF_SEEDS=300 go test -run TestDifferentialRandom).
+// queries, under every optimizer ablation; the default plan also runs at
+// odd batch sizes and drained through a cursor (one row per root call), so
+// every operator's batch body is checked at every fill boundary. DIFF_SEEDS
+// and DIFF_TABLES extend the campaign (e.g. DIFF_SEEDS=300 go test -run
+// TestDifferentialRandom).
 func TestDifferentialRandomQueries(t *testing.T) {
 	seeds := 40
 	if testing.Short() {
@@ -113,8 +117,49 @@ func TestDifferentialRandomQueries(t *testing.T) {
 							name, query, len(want), len(got), q.Explain())
 					}
 				}
+				q, err := core.New(db.Catalog(), db.OptimizerConfig()).Optimize(blk)
+				if err != nil {
+					t.Fatalf("optimize %q: %v", query, err)
+				}
+				check := func(how string, got []value.Row) {
+					t.Helper()
+					if !testutil.SameMultiset(got, want) {
+						t.Fatalf("%s: result mismatch for %q\nwant %d rows, got %d rows\nplan:\n%s",
+							how, query, len(want), len(got), q.Explain())
+					}
+				}
+				for _, n := range []int{1, 7, 256} {
+					rt := db.Runtime()
+					rt.BatchSize = n
+					got, _, err := exec.RunQuery(rt, q)
+					if err != nil {
+						t.Fatalf("batch size %d: execute %q: %v", n, query, err)
+					}
+					check(fmt.Sprintf("batch size %d", n), got)
+				}
+				check("cursor", drainCursor(t, db, q))
 			}
 		})
+	}
+}
+
+// drainCursor streams q's rows through an exec cursor.
+func drainCursor(t *testing.T, db *systemr.DB, q *plan.Query) []value.Row {
+	t.Helper()
+	cur, err := exec.OpenQuery(db.Runtime(), q)
+	if err != nil {
+		t.Fatalf("open cursor: %v", err)
+	}
+	var rows []value.Row
+	for {
+		r, ok, err := cur.Next()
+		if err != nil {
+			t.Fatalf("cursor: %v\nplan:\n%s", err, q.Explain())
+		}
+		if !ok {
+			return rows
+		}
+		rows = append(rows, r)
 	}
 }
 

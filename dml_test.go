@@ -40,6 +40,21 @@ func TestDMLUsesAccessPaths(t *testing.T) {
 	}
 }
 
+// TestUpdateOptimizesOnce: an autocommit UPDATE runs access path selection
+// once — the plan that locates the target tuples also evaluates the SET
+// expressions.
+func TestUpdateOptimizesOnce(t *testing.T) {
+	db := workload.NewEmpDB(workload.EmpConfig{Emps: 200, Depts: 10, Jobs: 5, Seed: 7})
+	before := db.PlanCacheStats().Compilations
+	res := db.MustExec("UPDATE EMP SET SAL = SAL + 1 WHERE DNO = 3")
+	if res.Affected == 0 {
+		t.Fatal("update matched nothing")
+	}
+	if got := db.PlanCacheStats().Compilations - before; got != 1 {
+		t.Fatalf("UPDATE ran the optimizer %d times, want 1", got)
+	}
+}
+
 // TestDMLCorrectness: DELETE/UPDATE against independently computed
 // expectations, including subqueries in WHERE and SET.
 func TestDMLCorrectness(t *testing.T) {

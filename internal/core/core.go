@@ -60,16 +60,6 @@ type Config struct {
 	// paper's original behavior, kept for experiments and comparison runs.
 	DisableHistograms bool
 
-	// DegreeOfParallelism > 1 lets the optimizer plant Parallel exchange
-	// operators over eligible segment scans of the main query block,
-	// partitioning the scan's pages across that many workers.
-	DegreeOfParallelism int
-	// ParallelMinPages is the smallest relation (in segment pages) worth an
-	// exchange: scans of smaller relations stay serial, because worker
-	// startup and row hand-off dominate on a handful of pages. Zero or
-	// negative means no threshold.
-	ParallelMinPages int
-
 	// Trace, when non-nil, records the search tree (Figures 2-6).
 	Trace *Trace
 }
@@ -127,20 +117,9 @@ func New(cat *catalog.Catalog, cfg Config) *Optimizer {
 }
 
 // Optimize plans a full analyzed statement (the main block plus nested
-// blocks, innermost first, as Section 6 prescribes). With
-// DegreeOfParallelism > 1 a post-pass plants Parallel exchange operators
-// over the main block's eligible segment scans; nested blocks are left
-// serial (they evaluate inside the per-tuple path, where spawning workers
-// per evaluation would cost more than it saves).
+// blocks, innermost first, as Section 6 prescribes).
 func (o *Optimizer) Optimize(blk *sem.Block) (*plan.Query, error) {
-	q, err := o.planBlock(blk)
-	if err != nil {
-		return nil, err
-	}
-	if o.cfg.DegreeOfParallelism > 1 {
-		q.Root = parallelize(q.Root, o.cfg.DegreeOfParallelism, o.cfg.ParallelMinPages, false)
-	}
-	return q, nil
+	return o.planBlock(blk)
 }
 
 func (o *Optimizer) planBlock(blk *sem.Block) (*plan.Query, error) {

@@ -409,9 +409,8 @@ func (o *Optimizer) joinCandidates(ssOuter *subsetSols, s sem.RelSet, r int, ss2
 	// each of its N-inner qualifying tuples costs one RSI-like call to enter
 	// the hash table; each of the N-outer probe tuples costs one lookup. No
 	// interesting order is produced (probing scrambles nothing today, but
-	// order is deliberately not promised — parallel scans already make the
-	// probe order nondeterministic), so a downstream order requirement is won
-	// by merge and order-free joins by hash.
+	// order is deliberately not promised), so a downstream order requirement
+	// is won by merge and order-free joins by hash.
 	if o.cfg.DisableHashJoin || o.cfg.MergeOnly {
 		return
 	}

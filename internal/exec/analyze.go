@@ -96,11 +96,6 @@ func formatOp(b *strings.Builder, o Operator, depth int, w float64) {
 		fetches -= ks.Fetches
 		elapsed -= ks.Elapsed
 	}
-	// A parallel exchange's children run concurrently: the sum of their wall
-	// times can exceed the parent's, so self time clamps at zero.
-	if elapsed < 0 {
-		elapsed = 0
-	}
 	fmt.Fprintf(b, "%s%s  {est rows=%.1f cost=%.1f | act rows=%d",
 		strings.Repeat("  ", depth), o.Plan().Label(), e.Rows, e.Cost.Total(w), s.Rows)
 	if s.Opens != 1 {

@@ -5,15 +5,14 @@ package exec
 // reads, and two statement-counter reads — once per row. NextBatch moves
 // rows across that boundary a batch at a time, so the boundary cost is
 // amortized over DefaultBatchSize rows while the interior operators keep
-// their own governor checkpoints (scans check per tuple examined, exactly as
-// before).
+// their own governor checkpoints (scans check per tuple examined).
 //
-// Every operator instance is driven through exactly one protocol per run:
-// block execution drives the root with NextBatch, and composite operators
-// read their children through batchReaders; the row-at-a-time Next remains
-// for cursors, DML tuple location, and subquery evaluation, and a fallback
-// adapter in the op wrapper serves NextBatch for any operator body without a
-// native batch implementation.
+// NextBatch is the only operator protocol. Block execution drives the root
+// with full-size batches and composite operators read their children
+// through batchReaders; the row-at-a-time callers (cursors and DML tuple
+// location) drive the same NextBatch with a one-row batch, so each row still
+// crosses one instrumented, governor-ticked boundary. A batch size of 1 is
+// the paper's tuple-at-a-time execution, running through this same code.
 
 // DefaultBatchSize is the number of rows an operator aims to move per
 // NextBatch call when the runtime does not configure a size.
@@ -21,7 +20,7 @@ const DefaultBatchSize = 256
 
 // Batch is a reusable buffer of composite rows. The backing array is reused
 // across NextBatch calls; the rows themselves are freshly allocated by the
-// producing operator (from per-call arenas), so a consumer may retain them
+// producing operator (from its arenas), so a consumer may retain them
 // across batches — merge-join groups and nested-loop outer rows depend on
 // that.
 type Batch struct {
@@ -54,12 +53,32 @@ func (b *Batch) Append(c comp) { b.rows = append(b.rows, c) }
 // Row returns row i.
 func (b *Batch) Row(i int) comp { return b.rows[i] }
 
-// batchImpl is implemented by operator bodies with a native batch fill; the
-// op wrapper dispatches NextBatch to it, falling back to a per-row loop
-// otherwise. On error the batch's contents are undefined.
-type batchImpl interface {
-	nextBatch(b *Batch) error
+// arena hands out fixed-width slots (composite rows, projected output rows)
+// carved from chunks owned by one operator. Chunks start at one row and
+// double up to the batch capacity, so an operator returning one row per call
+// (a nested-loop index probe, a cursor) allocates for about one row per
+// call, while a streaming scan settles at one chunk per full batch. A slot
+// is handed out once and never reused, so consumers may retain rows.
+type arena[T any] struct {
+	chunk []T
+	off   int
+	rows  int // rows in the current chunk
 }
+
+// slot returns the next unused width-wide slot without consuming it; take
+// consumes it. A slot that is not taken (a row a residual rejected) is
+// returned again by the next call.
+func (a *arena[T]) slot(width, maxRows int) []T {
+	if a.off+width > len(a.chunk) {
+		a.rows = min(max(2*a.rows, 1), maxRows)
+		a.chunk = make([]T, a.rows*width)
+		a.off = 0
+	}
+	return a.chunk[a.off : a.off+width : a.off+width]
+}
+
+// take consumes the slot last returned by slot.
+func (a *arena[T]) take(width int) { a.off += width }
 
 // batchReader adapts a child operator's NextBatch stream back to one-row
 // reads for a composite operator's interior logic: rows cross the child's

@@ -40,14 +40,10 @@ type Runtime struct {
 	// OnBatch, when non-nil, observes the size of every batch the block
 	// driver consumes from the root operator (metrics hook).
 	OnBatch func(rows int)
-	// OnParallel, when non-nil, observes the worker count of every parallel
-	// exchange opened (metrics hook).
-	OnParallel func(workers int)
 
 	// Snap is the MVCC snapshot every scan in this statement reads under:
 	// only versions visible to it cross the RSS interface. Nil means "latest
-	// committed" (bootstrap and lock-excluded callers). Worker contexts copy
-	// the whole Runtime, so parallel scans inherit it.
+	// committed" (bootstrap and lock-excluded callers).
 	Snap *storage.Snapshot
 }
 
@@ -135,7 +131,7 @@ type blockCtx struct {
 	// subFetches tracks, across the whole statement, the page fetches spent
 	// inside subquery evaluations. Operator instrumentation deltas
 	// (fetchCount - subFetches), so a correlated subquery re-evaluated in the
-	// middle of an outer operator's Next is attributed to its own query
+	// middle of an outer operator's NextBatch is attributed to its own query
 	// block, not double-counted against the operator. Shared (like evals)
 	// between a block and its subquery blocks.
 	subFetches *int64
@@ -165,10 +161,7 @@ func newBlockCtx(rt *Runtime, q *plan.Query, evals *int) *blockCtx {
 
 // fetchCount reads the statement's page-fetch counter — this statement's
 // fetches only, so attribution stays exact under concurrent statements.
-// Parallel workers post into their own attached accumulators, excluded here,
-// so synchronous deltas stay deterministic while workers run; worker I/O is
-// folded back in at Stats()-read time and in statement totals (Snapshot).
-func (ctx *blockCtx) fetchCount() int64 { return ctx.io.LocalFetchCount() }
+func (ctx *blockCtx) fetchCount() int64 { return ctx.io.FetchCount() }
 
 // opFetchBase is the counter operator instrumentation deltas: the
 // statement's fetches minus those spent inside subquery evaluations (which
@@ -192,9 +185,8 @@ func (ctx *blockCtx) run() (rows []value.Row, err error) {
 	if err := root.Open(); err != nil {
 		return nil, err
 	}
-	// Block execution is batch-driven: the root's instrumented boundary is
-	// paid once per batch instead of once per row. Cursors and DML tuple
-	// location keep the row-at-a-time Next.
+	// Block execution moves full batches: the root's instrumented boundary
+	// is paid once per batch instead of once per row.
 	b := NewBatch(ctx.batchN)
 	for {
 		if err := root.NextBatch(b); err != nil {
@@ -209,25 +201,6 @@ func (ctx *blockCtx) run() (rows []value.Row, err error) {
 		for _, c := range b.rows {
 			rows = append(rows, outRow(c))
 		}
-	}
-}
-
-// workerCtx derives an execution context for one parallel-scan worker: the
-// worker accounts its I/O into acc (already Attached to the statement's
-// accumulator) and shares the statement's governor budget and parameter
-// bindings. Parallel-eligible scans evaluate no residuals or subquery-bound
-// sargs, so the worker context carries no subquery state.
-func (ctx *blockCtx) workerCtx(acc *storage.IOStats) *blockCtx {
-	rt2 := *ctx.rt
-	rt2.IO = acc
-	return &blockCtx{
-		rt:         &rt2,
-		io:         ctx.rt.Pool.View(acc),
-		q:          ctx.q,
-		params:     ctx.params,
-		evals:      ctx.evals,
-		subFetches: new(int64),
-		batchN:     ctx.batchN,
 	}
 }
 
@@ -279,6 +252,7 @@ func (ctx *blockCtx) applyResidual(c comp, exprs []sem.Expr) (bool, error) {
 type Cursor struct {
 	rt     *Runtime
 	root   *op
+	one    *Batch // one-row batch: each row crosses the root boundary alone
 	before storage.IOStatsSnapshot
 	evals  int
 	rows   int
@@ -295,7 +269,7 @@ func OpenQuery(rt *Runtime, q *plan.Query) (*Cursor, error) {
 // OpenQueryArgs begins streaming execution with host-variable values bound.
 // A failed open releases any scans the plan managed to open before failing.
 func OpenQueryArgs(rt *Runtime, q *plan.Query, args []value.Value) (*Cursor, error) {
-	c := &Cursor{rt: rt, before: rt.ensureIO().Snapshot()}
+	c := &Cursor{rt: rt, one: NewBatch(1), before: rt.ensureIO().Snapshot()}
 	ctx := newBlockCtx(rt, q, &c.evals)
 	if err := bindHostArgs(ctx, q, args); err != nil {
 		return nil, err
@@ -323,16 +297,15 @@ func (c *Cursor) Next() (value.Row, bool, error) {
 	if c.done {
 		return nil, false, nil
 	}
-	cr, ok, err := c.root.Next()
-	if err != nil {
+	if err := c.root.NextBatch(c.one); err != nil {
 		c.finish()
 		return nil, false, err
 	}
-	if !ok {
+	if c.one.Len() == 0 {
 		return nil, false, c.finish()
 	}
 	c.rows++
-	return outRow(cr), true, nil
+	return outRow(c.one.Row(0)), true, nil
 }
 
 // Close releases the cursor; safe to call at any point and idempotent. It

@@ -18,6 +18,8 @@ type projectOp struct {
 	input *op
 	exprs []sem.Expr
 	read  *batchReader
+	vals  arena[value.Value] // output rows
+	comps arena[value.Row]   // their single-slot composites
 }
 
 func (it *projectOp) open() error {
@@ -32,38 +34,18 @@ func (it *projectOp) open() error {
 	return nil
 }
 
-func (it *projectOp) next() (comp, bool, error) {
-	c, ok, err := it.read.next()
-	if err != nil || !ok {
-		return nil, false, err
-	}
-	out := make(value.Row, len(it.exprs))
-	for i, e := range it.exprs {
-		v, err := it.ctx.evalExpr(c, e)
-		if err != nil {
-			return nil, false, err
-		}
-		out[i] = v
-	}
-	return outComp(out), true, nil
-}
-
 // nextBatch projects a batch at a time, allocating output rows and their
-// single-slot composites from per-call arenas (consumers may retain rows).
+// single-slot composites from the operator's arenas (consumers may retain
+// rows).
 func (it *projectOp) nextBatch(b *Batch) error {
 	ne := len(it.exprs)
-	rowArena := make([]value.Value, b.Cap()*ne)
-	compArena := make([]value.Row, b.Cap())
 	for !b.Full() {
 		c, ok, err := it.read.next()
-		if err != nil {
+		if err != nil || !ok {
 			return err
 		}
-		if !ok {
-			return nil
-		}
-		out := value.Row(rowArena[:ne:ne])
-		rowArena = rowArena[ne:]
+		out := value.Row(it.vals.slot(ne, b.Cap()))
+		it.vals.take(ne)
 		for i, e := range it.exprs {
 			v, err := it.ctx.evalExpr(c, e)
 			if err != nil {
@@ -71,8 +53,8 @@ func (it *projectOp) nextBatch(b *Batch) error {
 			}
 			out[i] = v
 		}
-		oc := comp(compArena[:1:1])
-		compArena = compArena[1:]
+		oc := comp(it.comps.slot(1, b.Cap()))
+		it.comps.take(1)
 		oc[0] = out
 		b.Append(oc)
 	}
@@ -88,20 +70,27 @@ type groupAggOp struct {
 	ctx   *blockCtx
 	input *op
 	node  *plan.GroupAgg
+	read  *batchReader
 
 	curKey  value.Row
 	curRep  comp // representative composite for group-column output values
 	states  []aggState
 	started bool
 	done    bool
-	pending comp // lookahead row belonging to the next group
 }
 
 func (it *groupAggOp) open() error {
 	it.curKey, it.curRep, it.states = nil, nil, nil
 	it.started, it.done = false, false
-	it.pending = nil
-	return it.input.Open()
+	if err := it.input.Open(); err != nil {
+		return err
+	}
+	if it.read == nil {
+		it.read = it.ctx.newBatchReader(it.input)
+	} else {
+		it.read.reset()
+	}
+	return nil
 }
 
 func (it *groupAggOp) groupKey(c comp) value.Row {
@@ -112,43 +101,27 @@ func (it *groupAggOp) groupKey(c comp) value.Row {
 	return key
 }
 
-func (it *groupAggOp) next() (comp, bool, error) {
-	if it.done {
-		return nil, false, nil
-	}
-	for {
-		var c comp
-		var ok bool
-		var err error
-		if it.pending != nil {
-			c, ok = it.pending, true
-			it.pending = nil
-		} else {
-			c, ok, err = it.input.Next()
-			if err != nil {
-				return nil, false, err
-			}
+// nextBatch folds input rows into the current group, emitting each group
+// as the first row of the next one (or the end of input) closes it. Every
+// input row emits at most one group, so a fill never overruns b.
+func (it *groupAggOp) nextBatch(b *Batch) error {
+	for !b.Full() && !it.done {
+		c, ok, err := it.read.next()
+		if err != nil {
+			return err
 		}
 		if !ok {
 			it.done = true
 			if !it.started {
 				if len(it.node.GroupCols) > 0 {
-					return nil, false, nil // no input → no groups
+					return nil // no input → no groups
 				}
 				// Scalar aggregate over empty input: one row (COUNT = 0,
 				// SUM/AVG/MIN/MAX = NULL) — unless HAVING filters it.
 				it.states = newAggStates(it.node.Aggs)
-				row, keep, err := it.emit(make(comp, it.ctx.numRels()))
-				if err != nil || !keep {
-					return nil, false, err
-				}
-				return outComp(row), true, nil
+				return it.emit(b, make(comp, it.ctx.numRels()))
 			}
-			row, keep, err := it.emit(it.curRep)
-			if err != nil || !keep {
-				return nil, false, err
-			}
-			return outComp(row), true, nil
+			return it.emit(b, it.curRep)
 		}
 		if !it.started {
 			it.started = true
@@ -156,39 +129,22 @@ func (it *groupAggOp) next() (comp, bool, error) {
 			it.curRep = c
 			it.states = newAggStates(it.node.Aggs)
 		} else if len(it.node.GroupCols) > 0 {
-			key := it.groupKey(c)
-			if value.CompareKey(key, it.curKey) != 0 {
-				// Group boundary: emit the finished group (unless HAVING
-				// filters it), start the next.
-				row, keep, err := it.emit(it.curRep)
-				if err != nil {
-					return nil, false, err
+			if key := it.groupKey(c); value.CompareKey(key, it.curKey) != 0 {
+				// Group boundary: emit the finished group, start the next
+				// with this row.
+				if err := it.emit(b, it.curRep); err != nil {
+					return err
 				}
 				it.curKey = key
 				it.curRep = c
 				it.states = newAggStates(it.node.Aggs)
-				it.pending = c
-				if err := it.accumulatePending(); err != nil {
-					return nil, false, err
-				}
-				if keep {
-					return outComp(row), true, nil
-				}
-				continue
 			}
 		}
 		if err := it.accumulate(c); err != nil {
-			return nil, false, err
+			return err
 		}
 	}
-}
-
-// accumulatePending folds the lookahead row (first of the new group) into
-// the fresh aggregate states.
-func (it *groupAggOp) accumulatePending() error {
-	c := it.pending
-	it.pending = nil
-	return it.accumulate(c)
+	return nil
 }
 
 func (it *groupAggOp) accumulate(c comp) error {
@@ -206,10 +162,11 @@ func (it *groupAggOp) accumulate(c comp) error {
 	return nil
 }
 
-// emit finalizes the current group: HAVING conjuncts filter it (ok=false),
-// otherwise the block's output expressions are evaluated over the group's
-// representative composite and the aggregate results.
-func (it *groupAggOp) emit(rep comp) (value.Row, bool, error) {
+// emit finalizes the current group: HAVING conjuncts filter it, otherwise
+// the block's output expressions are evaluated over the group's
+// representative composite and the aggregate results, and the row is
+// appended to b.
+func (it *groupAggOp) emit(b *Batch, rep comp) error {
 	aggVals := make([]value.Value, len(it.states))
 	for i := range it.states {
 		aggVals[i] = it.states[i].finish(it.node.Aggs[i].Name)
@@ -218,22 +175,20 @@ func (it *groupAggOp) emit(rep comp) (value.Row, bool, error) {
 	defer func() { it.ctx.aggVals = nil }()
 	for _, h := range it.node.Having {
 		ok, err := it.ctx.evalBool(rep, h)
-		if err != nil {
-			return nil, false, err
-		}
-		if !ok {
-			return nil, false, nil
+		if err != nil || !ok {
+			return err
 		}
 	}
 	out := make(value.Row, len(it.node.OutExprs))
 	for i, e := range it.node.OutExprs {
 		v, err := it.ctx.evalExpr(rep, e)
 		if err != nil {
-			return nil, false, err
+			return err
 		}
 		out[i] = v
 	}
-	return out, true, nil
+	b.Append(outComp(out))
+	return nil
 }
 
 func (it *groupAggOp) close() error { return it.input.Close() }
@@ -344,31 +299,18 @@ func (it *distinctOp) open() error {
 	return nil
 }
 
-func (it *distinctOp) next() (comp, bool, error) {
-	for {
+// nextBatch fills b with rows not seen before.
+func (it *distinctOp) nextBatch(b *Batch) error {
+	for !b.Full() {
 		c, ok, err := it.read.next()
 		if err != nil || !ok {
-			return nil, false, err
+			return err
 		}
 		key := string(storage.EncodeRow(outRow(c)))
 		if it.seen[key] {
 			continue
 		}
 		it.seen[key] = true
-		return c, true, nil
-	}
-}
-
-// nextBatch fills b with distinct rows.
-func (it *distinctOp) nextBatch(b *Batch) error {
-	for !b.Full() {
-		c, ok, err := it.next()
-		if err != nil {
-			return err
-		}
-		if !ok {
-			return nil
-		}
 		b.Append(c)
 	}
 	return nil

@@ -71,23 +71,24 @@ func (it *hashJoinOp) open() error {
 	return nil
 }
 
-func (it *hashJoinOp) next() (comp, bool, error) {
-	for {
+// nextBatch probes the table with outer rows until b is full.
+func (it *hashJoinOp) nextBatch(b *Batch) error {
+	for !b.Full() {
 		if it.ci < len(it.cur) {
 			c := mergeComp(it.curOuter, it.cur[it.ci])
 			it.ci++
 			keep, err := it.ctx.applyResidual(c, it.node.Residual)
 			if err != nil {
-				return nil, false, err
+				return err
 			}
 			if keep {
-				return c, true, nil
+				b.Append(c)
 			}
 			continue
 		}
 		oc, ok, err := it.outerRead.next()
 		if err != nil || !ok {
-			return nil, false, err
+			return err
 		}
 		k := oc[it.node.OuterCol.Rel][it.node.OuterCol.Col]
 		if k.IsNull() {
@@ -96,19 +97,6 @@ func (it *hashJoinOp) next() (comp, bool, error) {
 		it.cur = it.table[string(storage.EncodeRow(value.Row{k}))]
 		it.ci = 0
 		it.curOuter = oc
-	}
-}
-
-func (it *hashJoinOp) nextBatch(b *Batch) error {
-	for !b.Full() {
-		c, ok, err := it.next()
-		if err != nil {
-			return err
-		}
-		if !ok {
-			return nil
-		}
-		b.Append(c)
 	}
 	return nil
 }

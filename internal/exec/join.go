@@ -42,41 +42,42 @@ func (it *nlJoinOp) open() error {
 	return nil
 }
 
-func (it *nlJoinOp) next() (comp, bool, error) {
-	for {
+// nextBatch runs the join loop until b is full: one inner scan per outer
+// tuple, as the nested-loops cost formula assumes.
+func (it *nlJoinOp) nextBatch(b *Batch) error {
+	for !b.Full() {
 		if it.curOuter == nil {
 			oc, ok, err := it.outerRead.next()
 			if err != nil || !ok {
-				return nil, false, err
+				return err
 			}
 			it.curOuter = oc
 			// Bind the outer tuple's join values into the parameters the
 			// inner scan's start/stop keys and SARGs reference, then
-			// (re-)open the inner — one inner scan per outer tuple, as the
-			// nested-loops cost formula assumes. The previous inner scan is
-			// closed first, and its close error propagates.
-			for _, b := range it.node.Binds {
-				row := oc[b.From.Rel]
+			// (re-)open the inner. The previous inner scan is closed first,
+			// and its close error propagates.
+			for _, bd := range it.node.Binds {
+				row := oc[bd.From.Rel]
 				if row == nil {
-					return nil, false, fmt.Errorf("exec: nested-loop bind from missing relation %d", b.From.Rel)
+					return fmt.Errorf("exec: nested-loop bind from missing relation %d", bd.From.Rel)
 				}
-				it.ctx.params[b.Param] = row[b.From.Col]
+				it.ctx.params[bd.Param] = row[bd.From.Col]
 			}
 			if it.innerOn {
 				it.innerOn = false
 				if err := it.inner.Close(); err != nil {
-					return nil, false, err
+					return err
 				}
 			}
 			if err := it.inner.Open(); err != nil {
-				return nil, false, err
+				return err
 			}
 			it.innerOn = true
 			it.innerRead.reset()
 		}
 		ic, ok, err := it.innerRead.next()
 		if err != nil {
-			return nil, false, err
+			return err
 		}
 		if !ok {
 			it.curOuter = nil
@@ -85,26 +86,11 @@ func (it *nlJoinOp) next() (comp, bool, error) {
 		c := mergeComp(it.curOuter, ic)
 		keep, err := it.ctx.applyResidual(c, it.node.Residual)
 		if err != nil {
-			return nil, false, err
-		}
-		if keep {
-			return c, true, nil
-		}
-	}
-}
-
-// nextBatch fills b by running the join loop; the per-row work is the same,
-// but rows cross this operator's own boundary a batch at a time.
-func (it *nlJoinOp) nextBatch(b *Batch) error {
-	for !b.Full() {
-		c, ok, err := it.next()
-		if err != nil {
 			return err
 		}
-		if !ok {
-			return nil
+		if keep {
+			b.Append(c)
 		}
-		b.Append(c)
 	}
 	return nil
 }
@@ -238,19 +224,20 @@ func (it *mergeJoinOp) loadGroup(key value.Value) error {
 	}
 }
 
-func (it *mergeJoinOp) next() (comp, bool, error) {
-	for {
+// nextBatch runs the merge loop until b is full.
+func (it *mergeJoinOp) nextBatch(b *Batch) error {
+	for !b.Full() {
 		if it.curOuter == nil {
 			oc, ok, err := it.outerRead.next()
 			if err != nil || !ok {
-				return nil, false, err
+				return err
 			}
 			key := oc[it.node.OuterCol.Rel][it.node.OuterCol.Col]
 			if key.IsNull() {
 				continue
 			}
 			if err := it.loadGroup(key); err != nil {
-				return nil, false, err
+				return err
 			}
 			if !it.haveGroup || value.Compare(it.groupKey, key) != 0 {
 				continue // no matching inner group
@@ -266,25 +253,11 @@ func (it *mergeJoinOp) next() (comp, bool, error) {
 		it.gi++
 		keep, err := it.ctx.applyResidual(c, it.node.Residual)
 		if err != nil {
-			return nil, false, err
-		}
-		if keep {
-			return c, true, nil
-		}
-	}
-}
-
-// nextBatch fills b by running the merge loop per row.
-func (it *mergeJoinOp) nextBatch(b *Batch) error {
-	for !b.Full() {
-		c, ok, err := it.next()
-		if err != nil {
 			return err
 		}
-		if !ok {
-			return nil
+		if keep {
+			b.Append(c)
 		}
-		b.Append(c)
 	}
 	return nil
 }

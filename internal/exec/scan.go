@@ -3,19 +3,46 @@ package exec
 // Leaf operators: the RSS access paths (segment scan and index scan) exposed
 // as physical operators. Both remember the TID of the last tuple returned so
 // DML can locate the stored tuple behind each qualifying row (tidSource).
+// The RSS scans keep their own per-tuple governor checkpoints.
 
 import (
 	"systemr/internal/plan"
 	"systemr/internal/rss"
+	"systemr/internal/sem"
 	"systemr/internal/storage"
 	"systemr/internal/value"
 )
 
+// scanOut is the output side both scans share: the arena their composites
+// come from and the TID of the last tuple returned.
+type scanOut struct {
+	comps arena[value.Row]
+	tid   storage.TID
+}
+
+// add places row in slot relIdx of a fresh composite and appends it to b if
+// the node's residual predicates hold, remembering its TID.
+func (s *scanOut) add(ctx *blockCtx, b *Batch, relIdx int, residual []sem.Expr, row value.Row, tid storage.TID) error {
+	nr := ctx.numRels()
+	c := comp(s.comps.slot(nr, b.Cap()))
+	c[relIdx] = row
+	keep, err := ctx.applyResidual(c, residual)
+	if err != nil || !keep {
+		return err
+	}
+	s.comps.take(nr)
+	s.tid = tid
+	b.Append(c)
+	return nil
+}
+
+func (s *scanOut) lastTID() storage.TID { return s.tid }
+
 type segScanOp struct {
+	scanOut
 	ctx  *blockCtx
 	node *plan.SegScan
 	scan *rss.SegmentScan
-	tid  storage.TID
 }
 
 func (it *segScanOp) open() error {
@@ -25,60 +52,21 @@ func (it *segScanOp) open() error {
 	}
 	it.scan = &rss.SegmentScan{
 		Table: it.node.Table, Pool: it.ctx.rt.Pool, Sargs: sargs,
-		Part: it.node.Part, NParts: it.node.NParts,
 		Stmt: it.ctx.rt.IO, Budget: it.ctx.rt.Budget,
 		Snap: it.ctx.rt.Snap,
 	}
 	return it.scan.Open()
 }
 
-func (it *segScanOp) next() (comp, bool, error) {
-	for {
-		row, tid, ok, err := it.scan.Next()
-		if err != nil || !ok {
-			return nil, false, err
-		}
-		c := make(comp, it.ctx.numRels())
-		c[it.node.RelIdx] = row
-		keep, err := it.ctx.applyResidual(c, it.node.Residual)
-		if err != nil {
-			return nil, false, err
-		}
-		if keep {
-			it.tid = tid
-			return c, true, nil
-		}
-	}
-}
-
-// nextBatch fills b with qualifying rows, allocating composites from one
-// per-call arena (consumers may retain the rows; the arena is never reused).
-// The scan keeps its own per-tuple governor checkpoint.
 func (it *segScanOp) nextBatch(b *Batch) error {
-	nr := it.ctx.numRels()
-	arena := make([]value.Row, b.Cap()*nr)
-	off := 0
 	for !b.Full() {
 		row, tid, ok, err := it.scan.Next()
-		if err != nil {
+		if err != nil || !ok {
 			return err
 		}
-		if !ok {
-			return nil
-		}
-		c := comp(arena[off : off+nr : off+nr])
-		c[it.node.RelIdx] = row
-		keep, err := it.ctx.applyResidual(c, it.node.Residual)
-		if err != nil {
+		if err := it.add(it.ctx, b, it.node.RelIdx, it.node.Residual, row, tid); err != nil {
 			return err
 		}
-		if !keep {
-			c[it.node.RelIdx] = nil // reuse the arena slot
-			continue
-		}
-		off += nr
-		it.tid = tid
-		b.Append(c)
 	}
 	return nil
 }
@@ -94,14 +82,12 @@ func (it *segScanOp) close() error {
 	return nil
 }
 
-func (it *segScanOp) lastTID() storage.TID { return it.tid }
-
 type indexScanOp struct {
+	scanOut
 	ctx   *blockCtx
 	node  *plan.IndexScan
 	scan  *rss.IndexScan
 	empty bool
-	tid   storage.TID
 }
 
 func (it *indexScanOp) open() error {
@@ -128,58 +114,18 @@ func (it *indexScanOp) open() error {
 	return it.scan.Open()
 }
 
-func (it *indexScanOp) next() (comp, bool, error) {
-	if it.empty {
-		return nil, false, nil
-	}
-	for {
-		row, tid, ok, err := it.scan.Next()
-		if err != nil || !ok {
-			return nil, false, err
-		}
-		c := make(comp, it.ctx.numRels())
-		c[it.node.RelIdx] = row
-		keep, err := it.ctx.applyResidual(c, it.node.Residual)
-		if err != nil {
-			return nil, false, err
-		}
-		if keep {
-			it.tid = tid
-			return c, true, nil
-		}
-	}
-}
-
-// nextBatch is the segment scan's batch fill for index scans: one per-call
-// arena of composites, per-tuple governor checkpoints inside the scan.
 func (it *indexScanOp) nextBatch(b *Batch) error {
 	if it.empty {
 		return nil
 	}
-	nr := it.ctx.numRels()
-	arena := make([]value.Row, b.Cap()*nr)
-	off := 0
 	for !b.Full() {
 		row, tid, ok, err := it.scan.Next()
-		if err != nil {
+		if err != nil || !ok {
 			return err
 		}
-		if !ok {
-			return nil
-		}
-		c := comp(arena[off : off+nr : off+nr])
-		c[it.node.RelIdx] = row
-		keep, err := it.ctx.applyResidual(c, it.node.Residual)
-		if err != nil {
+		if err := it.add(it.ctx, b, it.node.RelIdx, it.node.Residual, row, tid); err != nil {
 			return err
 		}
-		if !keep {
-			c[it.node.RelIdx] = nil
-			continue
-		}
-		off += nr
-		it.tid = tid
-		b.Append(c)
 	}
 	return nil
 }
@@ -192,5 +138,3 @@ func (it *indexScanOp) close() error {
 	}
 	return nil
 }
-
-func (it *indexScanOp) lastTID() storage.TID { return it.tid }

@@ -114,26 +114,15 @@ func (it *sortOp) open() (err error) {
 	return nil
 }
 
-func (it *sortOp) next() (comp, bool, error) {
-	row, ok, err := it.res.Next()
-	if err != nil || !ok {
-		return nil, false, err
-	}
-	return it.layout.unflatten(row), true, nil
-}
-
 // nextBatch streams a batch from the sorted temporary list. The result
 // reader checks the governor per tuple read back.
 func (it *sortOp) nextBatch(b *Batch) error {
 	for !b.Full() {
-		c, ok, err := it.next()
-		if err != nil {
+		row, ok, err := it.res.Next()
+		if err != nil || !ok {
 			return err
 		}
-		if !ok {
-			return nil
-		}
-		b.Append(c)
+		b.Append(it.layout.unflatten(row))
 	}
 	return nil
 }

@@ -151,12 +151,6 @@ type SegmentScan struct {
 	// Budget, when non-nil, is the statement's execution governor, checked
 	// at OPEN, on every page transition, and per tuple examined.
 	Budget *governor.Budget
-	// Part/NParts restrict the scan to one contiguous 1/NParts share of the
-	// segment's pages (NParts 0 or 1 scans the whole segment): the unit of
-	// intra-query parallelism. The page list is sliced at OPEN, so every
-	// partition sees the same snapshot boundary its siblings do.
-	Part   int
-	NParts int
 	// Snap is the caller's visibility snapshot: only versions it can see are
 	// returned. Nil means "latest committed" (visible ⇔ no delete mark) —
 	// correct only for callers that exclude concurrent writers.
@@ -178,11 +172,6 @@ func (s *SegmentScan) Open() error {
 	}
 	s.io = s.Pool.View(s.Stmt)
 	s.pages = s.Table.Segment.Pages()
-	if s.NParts > 1 {
-		lo := s.Part * len(s.pages) / s.NParts
-		hi := (s.Part + 1) * len(s.pages) / s.NParts
-		s.pages = s.pages[lo:hi]
-	}
 	s.pi = -1
 	s.page = nil
 	s.slot = 0

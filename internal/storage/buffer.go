@@ -25,15 +25,6 @@ import (
 // All counters are atomics: the per-tuple/per-page accounting path takes no
 // locks, and every method is nil-receiver-safe, so paths without a
 // statement accumulator pay a single pointer comparison.
-//
-// A statement accumulator can also aggregate child accumulators: the
-// parallel exchange operator Attaches one child per scan worker, so each
-// worker posts into its own counters (one atomic increment, no cross-worker
-// contention) while Snapshot and FetchCount on the parent — the reads the
-// governor's fetch budget and the statement totals use — include the
-// workers' I/O. LocalFetchCount reads the parent's own counter alone, which
-// is what the executor's synchronous per-operator deltas use: a worker
-// running concurrently can never perturb them.
 type IOStats struct {
 	pageFetches  atomic.Int64
 	logicalReads atomic.Int64
@@ -45,28 +36,6 @@ type IOStats struct {
 	// multi-versioning).
 	versionsScanned atomic.Int64
 	versionsSkipped atomic.Int64
-	kids            atomic.Pointer[[]*IOStats]
-}
-
-// Attach adds a child accumulator whose counters aggregate into this one's
-// Snapshot and FetchCount (copy-on-write, safe under concurrent readers).
-// Children are never detached: a worker's final counts remain part of the
-// statement's totals after the worker exits.
-func (s *IOStats) Attach(k *IOStats) {
-	if s == nil || k == nil {
-		return
-	}
-	for {
-		old := s.kids.Load()
-		var next []*IOStats
-		if old != nil {
-			next = append(next, *old...)
-		}
-		next = append(next, k)
-		if s.kids.CompareAndSwap(old, &next) {
-			return
-		}
-	}
 }
 
 // Snapshot returns a copy of the counters. Counters are read individually
@@ -77,7 +46,7 @@ func (s *IOStats) Snapshot() IOStatsSnapshot {
 	if s == nil {
 		return IOStatsSnapshot{}
 	}
-	snap := IOStatsSnapshot{
+	return IOStatsSnapshot{
 		PageFetches:     s.pageFetches.Load(),
 		LogicalReads:    s.logicalReads.Load(),
 		RSICalls:        s.rsiCalls.Load(),
@@ -85,48 +54,18 @@ func (s *IOStats) Snapshot() IOStatsSnapshot {
 		VersionsScanned: s.versionsScanned.Load(),
 		VersionsSkipped: s.versionsSkipped.Load(),
 	}
-	if kids := s.kids.Load(); kids != nil {
-		for _, k := range *kids {
-			ks := k.Snapshot()
-			snap.PageFetches += ks.PageFetches
-			snap.LogicalReads += ks.LogicalReads
-			snap.RSICalls += ks.RSICalls
-			snap.PagesWritten += ks.PagesWritten
-			snap.VersionsScanned += ks.VersionsScanned
-			snap.VersionsSkipped += ks.VersionsSkipped
-		}
-	}
-	return snap
 }
 
-// FetchCount returns the current page-fetch counter (own plus attached
-// children) alone, cheaper than a full snapshot.
+// FetchCount returns the current page-fetch counter alone, cheaper than a
+// full snapshot.
 func (s *IOStats) FetchCount() int64 {
-	if s == nil {
-		return 0
-	}
-	n := s.pageFetches.Load()
-	if kids := s.kids.Load(); kids != nil {
-		for _, k := range *kids {
-			n += k.FetchCount()
-		}
-	}
-	return n
-}
-
-// LocalFetchCount returns this accumulator's own page-fetch counter,
-// excluding attached children. The executor reads it before and after each
-// synchronous operator call to attribute fetches: parallel workers post only
-// into their own (attached) accumulators, so these deltas are deterministic
-// even while workers run.
-func (s *IOStats) LocalFetchCount() int64 {
 	if s == nil {
 		return 0
 	}
 	return s.pageFetches.Load()
 }
 
-// Reset zeroes the counters and drops attached children.
+// Reset zeroes the counters.
 func (s *IOStats) Reset() {
 	if s == nil {
 		return
@@ -137,7 +76,6 @@ func (s *IOStats) Reset() {
 	s.pagesWritten.Store(0)
 	s.versionsScanned.Store(0)
 	s.versionsSkipped.Store(0)
-	s.kids.Store(nil)
 }
 
 // AddVersionScanned records one heap version examined by a scan; skipped

@@ -97,20 +97,6 @@ func (io StmtIO) FetchCount() int64 {
 	return io.pool.stats.FetchCount()
 }
 
-// LocalFetchCount is FetchCount excluding accumulators attached by parallel
-// workers: the executor's synchronous per-operator deltas use it so a worker
-// running concurrently can never perturb them. Falls back like FetchCount
-// when the view carries no statement accumulator.
-func (io StmtIO) LocalFetchCount() int64 {
-	if io.stmt != nil {
-		return io.stmt.LocalFetchCount()
-	}
-	if io.pool == nil {
-		return 0
-	}
-	return io.pool.stats.LocalFetchCount()
-}
-
 // Snapshot returns the statement accumulator's counters (global aggregate
 // when the view has no statement accumulator).
 func (io StmtIO) Snapshot() IOStatsSnapshot {

@@ -5,15 +5,13 @@ package systemr_test
 // exclusive lock; concurrent SELECTs on the same table either sail through
 // on their statement snapshots (default) or queue behind the writer's X
 // lock until they time out (DisableSnapshotReads, the PR 6 two-phase-locking
-// baseline). TestBenchMVCCJSON measures both modes once and writes
+// baseline). TestBenchMVCCJSON measures both modes once and reports
 // BENCH_mvcc.json for CI trending, asserting the PR 8 acceptance bar:
 // snapshot readers sustain at least 5x the 2PL baseline's read throughput
 // with zero reader errors and zero blocking.
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -100,7 +98,7 @@ type mvccBenchReport struct {
 	Speedup          float64 `json:"snapshot_over_baseline_speedup"`
 }
 
-// TestBenchMVCCJSON runs the mixed workload in both modes and writes
+// TestBenchMVCCJSON runs the mixed workload in both modes and reports
 // BENCH_mvcc.json. Acceptance: with a writer transaction holding an
 // uncommitted UPDATE on T, snapshot readers complete >= 5x the reads of the
 // 2PL baseline (whose readers queue behind the X lock until LockTimeout),
@@ -163,12 +161,5 @@ func TestBenchMVCCJSON(t *testing.T) {
 		}
 	}
 
-	data, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile("BENCH_mvcc.json", append(data, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("BENCH_mvcc.json:\n%s", data)
+	writeBenchJSON(t, "BENCH_mvcc.json", report)
 }

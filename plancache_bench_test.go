@@ -5,11 +5,13 @@ package systemr_test
 // EMP/DEPT/JOB three-table join — each executed four ways: ad hoc with the
 // cache disabled (cold: parse + sem + optimize every time), ad hoc through
 // the warm plan cache, unprepared vs prepared. TestBenchPlancacheJSON runs
-// the same comparison once and writes BENCH_plancache.json for CI trending.
+// the same comparison once and reports BENCH_plancache.json for CI trending
+// (written to $SYSTEMR_BENCH_DIR when that is set).
 
 import (
 	"encoding/json"
 	"os"
+	"path/filepath"
 	"testing"
 	"time"
 
@@ -96,8 +98,30 @@ func timePerOp(iters int, f func() error) (float64, error) {
 	return float64(time.Since(start).Nanoseconds()) / float64(iters), nil
 }
 
+// writeBenchJSON logs a bench report and, when SYSTEMR_BENCH_DIR names an
+// output directory, writes it there as name, so a plain go test run leaves
+// the tracked BENCH_*.json files alone.
+func writeBenchJSON(t *testing.T, name string, report any) {
+	t.Helper()
+	data, err := json.MarshalIndent(report, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("%s:\n%s", name, data)
+	dir := os.Getenv("SYSTEMR_BENCH_DIR")
+	if dir == "" {
+		return
+	}
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, name), append(data, '\n'), 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestBenchPlancacheJSON measures prepared-vs-unprepared and cached-vs-cold
-// execution for both statement shapes and writes BENCH_plancache.json. It
+// execution for both statement shapes and reports BENCH_plancache.json. It
 // also asserts the tentpole's acceptance criterion: a cache hit must be
 // measurably faster than cold compile-and-execute.
 func TestBenchPlancacheJSON(t *testing.T) {
@@ -143,12 +167,5 @@ func TestBenchPlancacheJSON(t *testing.T) {
 				q.name, cachedNs, coldNs)
 		}
 	}
-	data, err := json.MarshalIndent(results, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile("BENCH_plancache.json", append(data, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("BENCH_plancache.json:\n%s", data)
+	writeBenchJSON(t, "BENCH_plancache.json", results)
 }

@@ -1,40 +1,28 @@
 package systemr
 
 // White-box tests for the execution-knob policy on the plan-cache key: the
-// degree of parallelism is baked into compiled plans (the exchange placement
-// is a compile-time post-pass), so it must salt the key; the batch size is
-// execution-only (the same plan runs at any batch size), so it must not.
+// batch size is execution-only (the same plan runs at any batch size), so it
+// must not salt the key.
 
 import "testing"
 
 func TestPlanKeyKnobPolicy(t *testing.T) {
 	const norm = "SELECT A FROM T WHERE B < ?"
 	serial := Open(Config{})
-	par8 := Open(Config{DegreeOfParallelism: 8})
-	par4 := Open(Config{DegreeOfParallelism: 4})
 	batched := Open(Config{ExecBatchSize: 16})
 
-	if serial.planKey(norm, "sig") == par8.planKey(norm, "sig") {
-		t.Fatal("DegreeOfParallelism=8 did not salt the plan-cache key: a serial DB's cached plan would satisfy a parallel lookup")
-	}
-	if par4.planKey(norm, "sig") == par8.planKey(norm, "sig") {
-		t.Fatal("different parallel degrees share a plan-cache key")
-	}
 	if serial.planKey(norm, "sig") != batched.planKey(norm, "sig") {
 		t.Fatal("ExecBatchSize changed the plan-cache key: batch size is execution-only and must not fragment the cache")
 	}
 }
 
-// TestConfigKnobValidation pins the zero-value behavior: both knobs default
-// rather than reject, so the zero Config keeps working.
+// TestConfigKnobValidation pins the zero-value behavior: the batch size
+// defaults rather than rejects, so the zero Config keeps working.
 func TestConfigKnobValidation(t *testing.T) {
-	for _, cfg := range []Config{{}, {ExecBatchSize: -5, DegreeOfParallelism: -3}} {
+	for _, cfg := range []Config{{}, {ExecBatchSize: -5}} {
 		db := Open(cfg)
 		if db.cfg.ExecBatchSize <= 0 {
 			t.Fatalf("ExecBatchSize not defaulted: %d", db.cfg.ExecBatchSize)
-		}
-		if db.cfg.DegreeOfParallelism != 1 {
-			t.Fatalf("DegreeOfParallelism not clamped to serial: %d", db.cfg.DegreeOfParallelism)
 		}
 	}
 }

@@ -4,14 +4,12 @@ package systemr_test
 // uniform Table 1 model and under histograms, recording each query's
 // estimated vs. actual rows (as the symmetric q-error the feedback loop
 // uses) and whether the chosen access path flipped. TestBenchStatsJSON
-// writes BENCH_stats.json for CI trending and asserts this PR's acceptance
+// reports BENCH_stats.json for CI trending and asserts this PR's acceptance
 // criteria: histograms cut the mean estimation error and flip at least one
 // plan to the cheaper access path.
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 	"strings"
 	"testing"
 
@@ -41,7 +39,7 @@ type statsBenchReport struct {
 
 // TestBenchStatsJSON plans and runs a mixed predicate set (hot/mid/cold
 // equality, ranges, BETWEEN, IN, an unindexed column) under both models and
-// writes BENCH_stats.json.
+// reports BENCH_stats.json.
 func TestBenchStatsJSON(t *testing.T) {
 	if testing.Short() {
 		t.Skip("benchmark measurement; skipped in -short")
@@ -114,12 +112,5 @@ func TestBenchStatsJSON(t *testing.T) {
 		t.Errorf("no plan flipped between the uniform and histogram models")
 	}
 
-	data, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile("BENCH_stats.json", append(data, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("BENCH_stats.json:\n%s", data)
+	writeBenchJSON(t, "BENCH_stats.json", report)
 }
